@@ -39,11 +39,6 @@ val max_alphabet : int
     is what lets the cap sit at the {!Mechaml_util.Bitset.all_subsets}
     guard rather than the former 16. *)
 
-val subsets : string list -> string list list
-(** Power set of a name list, in the closure's interaction enumeration
-    order (increasing bit pattern over list positions).  Debug/inspection
-    helper — the closure itself never materializes name lists. *)
-
 val chaotic_automaton :
   name:string -> inputs:string list -> outputs:string list -> Mechaml_ts.Automaton.t
 (** Definition 8 / Fig. 3.  Raises [Invalid_argument] when
@@ -62,7 +57,12 @@ val closure :
     state carries them yet — the synthesis loop seeds it with the property's
     legacy-side propositions so that checking is well-defined from iteration
     0 on.  Raises [Invalid_argument] when a state is named like a chaos state
-    or when the signal alphabet is too large. *)
+    or when the signal alphabet is too large.
+
+    Numbering: [s_∀] is state 0 and [s_δ] state 1; the [(s,1)] and [(s,0)]
+    copies of the k-th known state (in {!Incomplete} order) are states
+    [2k+2] and [2k+3].  Growing the model therefore only appends states, so
+    an index never changes meaning across {!update}s. *)
 
 type origin =
   | Core of string  (** copy of a known state (either copy), original name *)
@@ -78,11 +78,12 @@ val origin : string -> origin
     construction's indexes (state positions, known/refused input patterns,
     adjacency rows) alive so that {!update} patches the previous closure:
     only the copies of states that gained a fact are rebuilt (a known edge
-    appears, escapes to [s_∀]/[s_δ] disappear), everything else is shared —
-    including the CSR index, spliced via {!Mechaml_ts.Automaton.patch}.  The
-    result is structurally identical to a fresh {!closure} (state numbering,
-    adjacency order, labels), which keeps witnesses, products and therefore
-    verdicts byte-for-byte independent of incremental mode. *)
+    appears, escapes to [s_∀]/[s_δ] disappear), everything else keeps its
+    index and shares its row — and the index is spliced via
+    {!Mechaml_ts.Automaton.patch} without walking the clean rows.
+    The result is structurally identical to a fresh {!closure} (state
+    numbering, adjacency order, labels), which keeps witnesses, products and
+    therefore verdicts byte-for-byte independent of incremental mode. *)
 
 type inc
 (** Mutable incremental-closure handle for one growing incomplete model. *)
@@ -97,8 +98,10 @@ val update : ?debug:bool -> inc -> Incomplete.t -> unit
     the same one the handle was built from, extended append-only (as
     {!Incomplete.add_transition}/[add_refusal] do — the loop's only mutation
     path); the delta is recovered from element counts.  With [debug] a fresh
-    closure is also built and compared structurally — [Failure] on any
-    divergence.  Raises like {!closure} on invalid new state names. *)
+    closure is also built and compared — structurally, and through the
+    index ([num_transitions], and [successors]/[accepts] for every label of
+    every row) — [Failure] on any divergence.  Raises like {!closure} on
+    invalid new state names. *)
 
 val adopt :
   ?label_of:(string -> string list) ->
@@ -128,8 +131,5 @@ val total_delta_edges : inc -> int
 val dirty_states : inc -> int list
 (** Closure states whose adjacency rows changed in the last {!update} (or
     every core copy after a fresh build / conservative {!adopt}), sorted.
-    Indices of core copies are stable across updates, which is what lets
+    Every closure state keeps its index across updates, which is what lets
     {!Mechaml_ts.Compose.Inc} key its pair cache on them. *)
-
-val grew : inc -> bool
-(** The last {!update} added core states (shifting [s_∀]/[s_δ]). *)

@@ -446,15 +446,8 @@ let run ?(strategy = Witness.Bfs_shortest) ?(label_of = fun _ -> []) ?max_iterat
                   prod_inc := Some p;
                   p
               in
-              (* Core closure copies keep their indices across updates; only
-                 [s_∀]/[s_δ] shift when the core grows, so they key by
-                 distance from the end. *)
-              let n = Automaton.num_states closure in
-              let stable_key r = if r >= n - 2 then r - n else r in
-              let resolve k = if k < 0 then n + k else k in
               let p, stats =
                 Compose.Inc.parallel pinc ~right:closure ~dirty:(Chaos.dirty_states inc)
-                  ~stable_key ~resolve
               in
               product_reused_total := !product_reused_total + stats.Compose.Inc.reused;
               (p, Some stats)

@@ -12,15 +12,22 @@ type inter_tbl =
   | Packed of { shift : int; tbl : (int, int) Hashtbl.t }
   | Pairs of (int * int, int) Hashtbl.t
 
-type csr = {
-  row : int array;            (* n+1 offsets into the flat arrays *)
-  f_input : Bitset.t array;   (* per-state segments, stably sorted by id *)
+(* The per-state sorted view of the transition relation: segments stably
+   sorted by interaction id, so equal-labelled transitions keep their
+   adjacency-list order and [successors] can binary-search a label. *)
+type sorted = {
+  f_input : Bitset.t array;
   f_output : Bitset.t array;
   f_dst : int array;
   f_inter : int array;
+}
+
+type csr = {
+  row : int array;            (* n+1 offsets into the flat arrays *)
   adj_inter : int array;      (* interaction id per transition, adjacency order *)
   inter_tbl : inter_tbl;
   inter_io : (Bitset.t * Bitset.t) array; (* id -> (input, output) *)
+  sorted_cell : sorted option Atomic.t;
 }
 
 (* Both halves of the index are derived on first access — many automata are
@@ -32,7 +39,11 @@ type csr = {
    cells are atomic once-cells rather than [Lazy.t] because automata are
    shared across campaign worker domains: a racing force builds the same
    pure content twice and compare-and-set picks one winner, where a
-   concurrent [Lazy.force] would raise. *)
+   concurrent [Lazy.force] would raise.  The sorted view inside the CSR is a
+   third such cell, derived from [row], [adj_inter] and the automaton's
+   [trans]: the product join reads only the first two, so a patched closure
+   never materializes it.  Cells hold data only, never closures — the memo
+   cache marshals automata. *)
 type index = {
   name_cell : (string, int) Hashtbl.t option Atomic.t; (* state name -> first index *)
   csr_cell : csr option Atomic.t;
@@ -75,190 +86,123 @@ let build_name_tbl ~dup_ok ~name state_names =
     state_names;
   name_tbl
 
+(* Label interning against an existing table ([io] holds ids
+   [0, Array.length io)).  A table that is not [owned] belongs to another
+   automaton and is copied only when the first unseen label appears, so a
+   patch that introduces no new interaction shares its parent's table. *)
+let interner ~tbl ~io ~owned =
+  let tbl = ref tbl and owned = ref owned and rev_io = ref [] and n = ref (Array.length io) in
+  let intern a b =
+    match inter_find !tbl a b with
+    | Some id -> id
+    | None ->
+      if not !owned then begin
+        (tbl :=
+           match !tbl with
+           | Packed { shift; tbl } -> Packed { shift; tbl = Hashtbl.copy tbl }
+           | Pairs tbl -> Pairs (Hashtbl.copy tbl));
+        owned := true
+      end;
+      let id = !n in
+      incr n;
+      inter_add !tbl a b id;
+      rev_io := (a, b) :: !rev_io;
+      id
+  in
+  let finish () =
+    (!tbl, if !rev_io = [] then io else Array.append io (Array.of_list (List.rev !rev_io)))
+  in
+  (intern, finish)
+
+let intern_row intern adj_inter lo ts =
+  List.iteri (fun k t -> adj_inter.(lo + k) <- intern t.input t.output) ts
+
 let build_csr ~in_width ~out_width ~n ~trans =
   let row = Array.make (n + 1) 0 in
   for s = 0 to n - 1 do
     row.(s + 1) <- row.(s) + List.length trans.(s)
   done;
-  let total = row.(n) in
-  let inter_tbl =
+  let tbl =
     if in_width + out_width <= Bitset.max_width then
       Packed { shift = out_width; tbl = Hashtbl.create 16 }
     else Pairs (Hashtbl.create 16)
   in
-  let rev_io = ref [] and n_inter = ref 0 in
-  let intern a b =
-    match inter_find inter_tbl a b with
-    | Some id -> id
-    | None ->
-      let id = !n_inter in
-      incr n_inter;
-      inter_add inter_tbl a b id;
-      rev_io := (a, b) :: !rev_io;
-      id
-  in
-  (* First pass in adjacency-list order, then a stable per-segment sort by
-     interaction id: transitions sharing a label keep their list order, so
-     [successors] still enumerates destinations in declaration order. *)
-  let a_input = Array.make total Bitset.empty in
-  let a_output = Array.make total Bitset.empty in
-  let a_dst = Array.make total 0 in
-  let a_inter = Array.make total 0 in
+  let intern, finish = interner ~tbl ~io:[||] ~owned:true in
+  let adj_inter = Array.make row.(n) 0 in
   for s = 0 to n - 1 do
-    let k = ref row.(s) in
-    List.iter
-      (fun t ->
-        a_input.(!k) <- t.input;
-        a_output.(!k) <- t.output;
-        a_dst.(!k) <- t.dst;
-        a_inter.(!k) <- intern t.input t.output;
-        incr k)
-      trans.(s)
+    intern_row intern adj_inter row.(s) trans.(s)
   done;
-  (* Adjacency lists whose ids already come out non-decreasing (the common
-     case: builders and products emit few, distinct labels per state) need
-     no permutation at all — the pass-1 arrays serve as both views. *)
-  let sorted = ref true in
-  for s = 0 to n - 1 do
-    for k = row.(s) + 1 to row.(s + 1) - 1 do
-      if a_inter.(k - 1) > a_inter.(k) then sorted := false
-    done
-  done;
-  let inter_io = Array.of_list (List.rev !rev_io) in
-  if !sorted then
-    {
-      row;
-      f_input = a_input;
-      f_output = a_output;
-      f_dst = a_dst;
-      f_inter = a_inter;
-      adj_inter = a_inter;
-      inter_tbl;
-      inter_io;
-    }
-  else begin
-    let perm = Array.init total Fun.id in
-    for s = 0 to n - 1 do
-      let lo = row.(s) and hi = row.(s + 1) in
-      if hi - lo > 1 then begin
-        let seg = Array.sub perm lo (hi - lo) in
-        Array.sort
-          (fun i j ->
-            let c = compare a_inter.(i) a_inter.(j) in
-            if c <> 0 then c else compare i j)
-          seg;
-        Array.blit seg 0 perm lo (hi - lo)
-      end
-    done;
-    {
-      row;
-      f_input = Array.map (fun i -> a_input.(i)) perm;
-      f_output = Array.map (fun i -> a_output.(i)) perm;
-      f_dst = Array.map (fun i -> a_dst.(i)) perm;
-      f_inter = Array.map (fun i -> a_inter.(i)) perm;
-      adj_inter = a_inter;
-      inter_tbl;
-      inter_io;
-    }
-  end
+  let inter_tbl, inter_io = finish () in
+  { row; adj_inter; inter_tbl; inter_io; sorted_cell = Atomic.make None }
 
-(* Splice a new CSR out of an old one: segments of clean states are blitted
-   (destinations remapped through [dst_map]), only dirty segments intern
-   their transitions — against a copy of the old interaction table, so ids
-   of surviving interactions are preserved and the blitted segments stay
-   per-segment sorted.  Interaction ids therefore differ from what a fresh
-   [build_csr] would assign (stale ids linger, new ones append at the end),
-   which is unobservable: every consumer either walks the adjacency lists
-   ([adj_inter] keeps list order) or treats the sorted view as a set. *)
-let patch_csr ~old_csr ~n ~trans ~dirty ~old_of ~dst_map =
+(* Splice a new CSR out of an old one whose state [s] keeps its index and
+   its adjacency list unless [dirty.(s)]: clean segments of [adj_inter] are
+   blitted, only dirty segments intern their transitions.  Ids of surviving
+   interactions are preserved and new ones append at the end, so ids may
+   differ from what a fresh [build_csr] would assign; that is unobservable,
+   since every consumer either walks the adjacency lists ([adj_inter] keeps
+   list order) or treats the sorted view as a set. *)
+let patch_csr ~old_csr ~n ~trans ~dirty =
   let old_row = old_csr.row in
   let row = Array.make (n + 1) 0 in
   for s = 0 to n - 1 do
-    let len =
-      if dirty.(s) then List.length trans.(s)
-      else begin
-        let o = old_of.(s) in
-        old_row.(o + 1) - old_row.(o)
-      end
-    in
+    let len = if dirty.(s) then List.length trans.(s) else old_row.(s + 1) - old_row.(s) in
     row.(s + 1) <- row.(s) + len
   done;
+  let intern, finish =
+    interner ~tbl:old_csr.inter_tbl ~io:old_csr.inter_io ~owned:false
+  in
+  let adj_inter = Array.make row.(n) 0 in
+  for s = 0 to n - 1 do
+    if dirty.(s) then intern_row intern adj_inter row.(s) trans.(s)
+    else
+      Array.blit old_csr.adj_inter old_row.(s) adj_inter row.(s) (row.(s + 1) - row.(s))
+  done;
+  let inter_tbl, inter_io = finish () in
+  { row; adj_inter; inter_tbl; inter_io; sorted_cell = Atomic.make None }
+
+(* The sorted view: each segment stably sorted by interaction id, so
+   transitions sharing a label keep their list order and [successors] still
+   enumerates destinations in declaration order.  Segments whose ids already
+   come out non-decreasing (the common case: builders and products emit few,
+   distinct labels per state) need no permutation, and when all of them do,
+   [adj_inter] itself serves as [f_inter]. *)
+let derive_sorted ~row ~adj_inter ~trans =
+  let n = Array.length row - 1 in
   let total = row.(n) in
-  let inter_tbl =
-    match old_csr.inter_tbl with
-    | Packed { shift; tbl } -> Packed { shift; tbl = Hashtbl.copy tbl }
-    | Pairs tbl -> Pairs (Hashtbl.copy tbl)
-  in
-  let rev_io = ref [] and n_inter = ref (Array.length old_csr.inter_io) in
-  let intern a b =
-    match inter_find inter_tbl a b with
-    | Some id -> id
-    | None ->
-      let id = !n_inter in
-      incr n_inter;
-      inter_add inter_tbl a b id;
-      rev_io := (a, b) :: !rev_io;
-      id
-  in
   let f_input = Array.make total Bitset.empty in
   let f_output = Array.make total Bitset.empty in
   let f_dst = Array.make total 0 in
-  let f_inter = Array.make total 0 in
-  let adj_inter = Array.make total 0 in
+  let f_inter = ref adj_inter in
   for s = 0 to n - 1 do
-    let lo = row.(s) in
-    let len = row.(s + 1) - lo in
-    if not dirty.(s) then begin
-      let o = old_of.(s) in
-      let olo = old_row.(o) in
-      Array.blit old_csr.f_input olo f_input lo len;
-      Array.blit old_csr.f_output olo f_output lo len;
-      Array.blit old_csr.f_inter olo f_inter lo len;
-      Array.blit old_csr.adj_inter olo adj_inter lo len;
-      for k = 0 to len - 1 do
-        f_dst.(lo + k) <- dst_map old_csr.f_dst.(olo + k)
-      done
-    end
+    let lo = row.(s) and hi = row.(s + 1) in
+    let in_order = ref true in
+    for k = lo + 1 to hi - 1 do
+      if adj_inter.(k - 1) > adj_inter.(k) then in_order := false
+    done;
+    if !in_order then
+      List.iteri
+        (fun k t ->
+          f_input.(lo + k) <- t.input;
+          f_output.(lo + k) <- t.output;
+          f_dst.(lo + k) <- t.dst)
+        trans.(s)
     else begin
-      (* pass 1 in adjacency-list order *)
-      let k = ref lo in
-      List.iter
-        (fun t ->
-          f_input.(!k) <- t.input;
-          f_output.(!k) <- t.output;
-          f_dst.(!k) <- t.dst;
-          let id = intern t.input t.output in
-          f_inter.(!k) <- id;
-          adj_inter.(!k) <- id;
-          incr k)
-        trans.(s);
-      (* stable per-segment sort by interaction id, as [build_csr] does *)
-      let sorted = ref true in
-      for k = lo + 1 to lo + len - 1 do
-        if f_inter.(k - 1) > f_inter.(k) then sorted := false
-      done;
-      if not !sorted then begin
-        let perm = Array.init len (fun i -> lo + i) in
-        Array.sort
-          (fun i j ->
-            let c = compare adj_inter.(i) adj_inter.(j) in
-            if c <> 0 then c else compare i j)
-          perm;
-        let gi = Array.map (fun i -> f_input.(i)) perm in
-        let go = Array.map (fun i -> f_output.(i)) perm in
-        let gd = Array.map (fun i -> f_dst.(i)) perm in
-        let gt = Array.map (fun i -> adj_inter.(i)) perm in
-        Array.blit gi 0 f_input lo len;
-        Array.blit go 0 f_output lo len;
-        Array.blit gd 0 f_dst lo len;
-        Array.blit gt 0 f_inter lo len
-      end
+      if !f_inter == adj_inter then f_inter := Array.copy adj_inter;
+      let ts = Array.of_list trans.(s) in
+      let perm = Array.init (hi - lo) Fun.id in
+      Array.stable_sort (fun i j -> compare adj_inter.(lo + i) adj_inter.(lo + j)) perm;
+      Array.iteri
+        (fun k i ->
+          let t = ts.(i) in
+          f_input.(lo + k) <- t.input;
+          f_output.(lo + k) <- t.output;
+          f_dst.(lo + k) <- t.dst;
+          !f_inter.(lo + k) <- adj_inter.(lo + i))
+        perm
     end
   done;
-  let inter_io =
-    Array.append old_csr.inter_io (Array.of_list (List.rev !rev_io))
-  in
-  { row; f_input; f_output; f_dst; f_inter; adj_inter; inter_tbl; inter_io }
+  { f_input; f_output; f_dst; f_inter = !f_inter }
 
 let make_with_tbl ~name_tbl ~name ~inputs ~outputs ~props ~state_names ~labels ~trans ~initial =
   let index = { name_cell = Atomic.make name_tbl; csr_cell = Atomic.make None } in
@@ -274,24 +218,35 @@ let make ~dup_ok ~name ~inputs ~outputs ~props ~state_names ~labels ~trans ~init
 
 let num_states m = Array.length m.state_names
 
-let name_tbl m =
-  match Atomic.get m.index.name_cell with
-  | Some t -> t
+(* Force an atomic once-cell: a racing [build] is wasted work, never a
+   second value.  [build] takes the automaton rather than closing over it,
+   so the already-forced path allocates nothing. *)
+let force_once cell build m =
+  match Atomic.get cell with
+  | Some v -> v
   | None ->
-    let t = build_name_tbl ~dup_ok:true ~name:m.name m.state_names in
-    ignore (Atomic.compare_and_set m.index.name_cell None (Some t));
-    (match Atomic.get m.index.name_cell with Some t -> t | None -> assert false)
+    ignore (Atomic.compare_and_set cell None (Some (build m)));
+    Option.get (Atomic.get cell)
+
+let name_tbl m =
+  force_once m.index.name_cell
+    (fun m -> build_name_tbl ~dup_ok:true ~name:m.name m.state_names)
+    m
 
 let csr m =
-  match Atomic.get m.index.csr_cell with
-  | Some c -> c
-  | None ->
-    let c =
+  force_once m.index.csr_cell
+    (fun m ->
       build_csr ~in_width:(Universe.size m.inputs) ~out_width:(Universe.size m.outputs)
-        ~n:(num_states m) ~trans:m.trans
-    in
-    ignore (Atomic.compare_and_set m.index.csr_cell None (Some c));
-    (match Atomic.get m.index.csr_cell with Some c -> c | None -> assert false)
+        ~n:(num_states m) ~trans:m.trans)
+    m
+
+let sorted m =
+  let c = csr m in
+  force_once c.sorted_cell
+    (fun m ->
+      let c = csr m in
+      derive_sorted ~row:c.row ~adj_inter:c.adj_inter ~trans:m.trans)
+    m
 
 let num_transitions m = (csr m).row.(num_states m)
 
@@ -337,26 +292,26 @@ let accepts m s a b =
   match interaction_id m a b with
   | None -> false
   | Some id ->
-    let ix = csr m in
-    let k = lower_bound ix.f_inter ix.row.(s) ix.row.(s + 1) id in
-    k < ix.row.(s + 1) && ix.f_inter.(k) = id
+    let row = (csr m).row and f_inter = (sorted m).f_inter in
+    let k = lower_bound f_inter row.(s) row.(s + 1) id in
+    k < row.(s + 1) && f_inter.(k) = id
 
 let successors m s a b =
   match interaction_id m a b with
   | None -> []
   | Some id ->
-    let ix = csr m in
-    let hi = ix.row.(s + 1) in
-    let k = lower_bound ix.f_inter ix.row.(s) hi id in
-    let rec collect k = if k < hi && ix.f_inter.(k) = id then ix.f_dst.(k) :: collect (k + 1) else [] in
+    let row = (csr m).row and v = sorted m in
+    let hi = row.(s + 1) in
+    let k = lower_bound v.f_inter row.(s) hi id in
+    let rec collect k = if k < hi && v.f_inter.(k) = id then v.f_dst.(k) :: collect (k + 1) else [] in
     collect k
 
 let deterministic m =
-  let ix = csr m in
+  let row = (csr m).row and f_inter = (sorted m).f_inter in
   let ok = ref true in
   for s = 0 to num_states m - 1 do
-    for k = ix.row.(s) to ix.row.(s + 1) - 2 do
-      if ix.f_inter.(k) = ix.f_inter.(k + 1) then ok := false
+    for k = row.(s) to row.(s + 1) - 2 do
+      if f_inter.(k) = f_inter.(k + 1) then ok := false
     done
   done;
   !ok
@@ -443,11 +398,10 @@ let of_packed ?(assume_unique_names = false) ~name ~inputs ~outputs ~props ~stat
   make ~dup_ok:assume_unique_names ~name ~inputs ~outputs ~props ~state_names ~labels ~trans
     ~initial
 
-let patch ~old ~name ~props ~state_names ~labels ~trans ~initial ~dirty ~old_of ~dst_map () =
+let patch ~old ~name ~props ~state_names ~labels ~trans ~initial ~dirty () =
   let n = Array.length state_names in
-  if Array.length labels <> n || Array.length trans <> n || Array.length dirty <> n
-     || Array.length old_of <> n
-  then invalid_arg (Printf.sprintf "Automaton.patch: array lengths disagree in %s" name);
+  if Array.length labels <> n || Array.length trans <> n || Array.length dirty <> n then
+    invalid_arg (Printf.sprintf "Automaton.patch: array lengths disagree in %s" name);
   if initial = [] then invalid_arg (Printf.sprintf "Automaton.patch: %s has no initial state" name);
   List.iter
     (fun q ->
@@ -455,14 +409,9 @@ let patch ~old ~name ~props ~state_names ~labels ~trans ~initial ~dirty ~old_of 
         invalid_arg (Printf.sprintf "Automaton.patch: initial state %d out of range in %s" q name))
     initial;
   let old_n = num_states old in
-  Array.iteri
-    (fun s o ->
-      if (not dirty.(s)) && (o < 0 || o >= old_n) then
-        invalid_arg
-          (Printf.sprintf "Automaton.patch: clean state %d has no valid old index in %s" s name))
-    old_of;
+  if n < old_n then invalid_arg (Printf.sprintf "Automaton.patch: %s drops states" name);
   (* only dirty rows carry unvalidated destinations; clean rows were checked
-     when [old] was built and are remapped wholesale *)
+     when [old] was built and keep their indices *)
   Array.iteri
     (fun s ts ->
       if dirty.(s) then
@@ -471,32 +420,24 @@ let patch ~old ~name ~props ~state_names ~labels ~trans ~initial ~dirty ~old_of 
             if t.dst < 0 || t.dst >= n then
               invalid_arg
                 (Printf.sprintf "Automaton.patch: destination %d out of range in %s" t.dst name))
-          ts)
+          ts
+      else if s >= old_n then
+        invalid_arg (Printf.sprintf "Automaton.patch: clean state %d is new in %s" s name))
     trans;
-  let c = patch_csr ~old_csr:(csr old) ~n ~trans ~dirty ~old_of ~dst_map in
+  let c = patch_csr ~old_csr:(csr old) ~n ~trans ~dirty in
   let index = { name_cell = Atomic.make None; csr_cell = Atomic.make (Some c) } in
-  {
-    name;
-    inputs = old.inputs;
-    outputs = old.outputs;
-    props;
-    state_names;
-    labels;
-    trans;
-    initial;
-    index;
-  }
+  { name; inputs = old.inputs; outputs = old.outputs; props; state_names; labels; trans; initial; index }
 
 module Csr = struct
   let row m = (csr m).row
 
-  let input m = (csr m).f_input
+  let input m = (sorted m).f_input
 
-  let output m = (csr m).f_output
+  let output m = (sorted m).f_output
 
-  let dst m = (csr m).f_dst
+  let dst m = (sorted m).f_dst
 
-  let inter m = (csr m).f_inter
+  let inter m = (sorted m).f_inter
 
   let adj_inter m = (csr m).adj_inter
 end

@@ -18,11 +18,13 @@ type trans = {
 type index
 (** Packed acceleration structure: a state-name lookup table (built — and
     duplicate names validated — eagerly at construction) plus a CSR
-    (compressed sparse row) copy of the transition relation with per-state
-    segments stably sorted by interned interaction id, derived on first
-    indexed access so construction-only intermediates never pay for it.
-    Purely derived data — it never disagrees with [trans]; the on-demand
-    build is safe to race across domains. *)
+    (compressed sparse row) copy of the transition relation, derived on
+    first indexed access so construction-only intermediates never pay for
+    it.  The CSR's per-state view stably sorted by interned interaction id
+    is a further once-derived layer, built only for the queries that
+    binary-search a label.  Purely derived data — it never disagrees with
+    [trans]; the on-demand builds are safe to race across domains, and the
+    index holds no closures, so automata marshal. *)
 
 type t = private {
   name : string;
@@ -129,28 +131,28 @@ val patch :
   trans:trans list array ->
   initial:state list ->
   dirty:bool array ->
-  old_of:int array ->
-  dst_map:(state -> state) ->
   unit ->
   t
 (** Incremental sibling of {!of_packed} for callers that derive the new
     automaton from an [old] one by changing only a few states' adjacency
     lists ({!Mechaml_core.Chaos}[.update]).  Signal universes are inherited
     from [old].  For every state [s] with [dirty.(s) = false] the caller
-    asserts that [trans.(s)] lists exactly the transitions of old state
-    [old_of.(s)] with each destination pushed through [dst_map] (same
-    labels, same order); the CSR index is then spliced — clean segments are
-    blitted from [old]'s index with destinations remapped, and only dirty
-    segments intern their transitions (against a copy of [old]'s
-    interaction table, so surviving interaction ids are preserved and
-    blitted segments remain sorted).  Interaction ids and per-segment
-    sorted order may therefore differ from a fresh {!of_packed} build;
-    both are internal to the index — adjacency lists, state numbering and
-    all set-valued queries are identical.  Like
+    asserts that [s] is a state of [old] and that [trans.(s)] is exactly
+    [old]'s adjacency list of [s] (same labels, destinations and order):
+    clean states keep their index, new states are appended and dirty.  The
+    index is spliced without walking clean rows — their segments of the
+    adjacency-order id table are copied in bulk, only dirty rows intern
+    their transitions, and [old]'s interaction table is shared
+    unless a dirty row carries an interaction it lacks (then it is copied
+    first, so surviving ids are preserved).  Interaction ids may therefore
+    differ from a fresh {!of_packed} build; they are internal to the index —
+    adjacency lists, state numbering and all set-valued queries are
+    identical.  The per-state sorted view behind {!successors}, {!accepts}
+    and {!Csr.inter} is derived on first use.  Like
     [of_packed ~assume_unique_names:true], state-name uniqueness is the
     caller's obligation.  Raises [Invalid_argument] on length mismatches,
-    out-of-range dirty destinations or initial states, or a clean state
-    whose [old_of] is out of range. *)
+    fewer states than [old], out-of-range dirty destinations or initial
+    states, or a clean state that [old] does not have. *)
 
 val interaction_id : t -> Mechaml_util.Bitset.t -> Mechaml_util.Bitset.t -> int option
 (** Interned id of the interaction [(A, B)], if any transition of the
@@ -165,9 +167,11 @@ val interaction_io : t -> int -> Mechaml_util.Bitset.t * Mechaml_util.Bitset.t
 (** Read-only views of the packed transition relation, for hot loops that
     want arrays instead of lists ({!Mechaml_mc.Sat}'s fixpoints, the
     on-the-fly checker).  Transition [k] of state [s] lives at flat offsets
-    [row.(s) <= k < row.(s+1)]; segments are stably sorted by interaction
-    id, so equal-labelled transitions keep adjacency-list order.  Callers
-    must not mutate the returned arrays. *)
+    [row.(s) <= k < row.(s+1)]; in {!input}, {!output}, {!dst} and {!inter}
+    segments are stably sorted by interaction id, so equal-labelled
+    transitions keep adjacency-list order (that view is derived on first
+    use; {!row} and {!adj_inter} are not).  Callers must not mutate the
+    returned arrays. *)
 module Csr : sig
   val row : t -> int array
 

@@ -418,16 +418,15 @@ let find_pair p pair =
    (state numbering must stay byte-identical, and the reachable region can
    both grow and shrink), but the expensive part of each visit — the hash
    join over the pair's transitions — is served from a cache keyed by
-   (left state, stable right key) and invalidated by the caller's dirty set.
-   Cached moves store destinations as stable right keys too, so entries
-   survive right-operand reindexing (the chaos states shift when the core
-   grows); the caller translates keys back per call via [resolve]. *)
+   (left state, right state) and invalidated by the caller's dirty set.
+   Right states keep their indices across operands (new ones append), so
+   cached destinations stay valid as they are. *)
 module Inc = struct
   type move = {
     mv_input : Bitset.t;
     mv_output : Bitset.t;
     mv_ldst : int;
-    mv_rkey : int;
+    mv_rdst : int;
   }
 
   type entry = { e_version : int; e_moves : move array }
@@ -442,9 +441,9 @@ module Inc = struct
   type t = {
     inc_left : Automaton.t;
     cache : (int * int, entry) Hashtbl.t;
-    last_dirty : (int, int) Hashtbl.t; (* stable key → version last invalidated *)
+    last_dirty : (int, int) Hashtbl.t; (* right state → version last invalidated *)
     mutable version : int;
-    mutable prev_ids : (int * int, int) Hashtbl.t; (* (l, stable key) → prior product id *)
+    mutable prev_ids : (int * int, int) Hashtbl.t; (* (l, r) → prior product id *)
   }
 
   let m_reused =
@@ -462,24 +461,20 @@ module Inc = struct
 
   let left_operand inc = inc.inc_left
 
-  let parallel inc ~right ~dirty ~stable_key ~resolve =
+  let parallel inc ~right ~dirty =
     let left = inc.inc_left in
     inc.version <- inc.version + 1;
     let v = inc.version in
-    List.iter (fun r -> Hashtbl.replace inc.last_dirty (stable_key r) v) dirty;
+    List.iter (fun r -> Hashtbl.replace inc.last_dirty r v) dirty;
     let live = lazy (join_moves left right) in
     let reused = ref 0 in
     let moves s s' emit =
-      let skey = stable_key s' in
       let hit =
-        match Hashtbl.find_opt inc.cache (s, skey) with
+        match Hashtbl.find_opt inc.cache (s, s') with
         | Some e
-          when e.e_version
-               >= Option.value (Hashtbl.find_opt inc.last_dirty skey) ~default:0 ->
+          when e.e_version >= Option.value (Hashtbl.find_opt inc.last_dirty s') ~default:0 ->
           incr reused;
-          Array.iter
-            (fun m -> emit m.mv_input m.mv_output m.mv_ldst (resolve m.mv_rkey))
-            e.e_moves;
+          Array.iter (fun m -> emit m.mv_input m.mv_output m.mv_ldst m.mv_rdst) e.e_moves;
           true
         | _ -> false
       in
@@ -487,15 +482,10 @@ module Inc = struct
         let acc = ref [] in
         (Lazy.force live) s s' (fun input output l_dst r_dst ->
             acc :=
-              {
-                mv_input = input;
-                mv_output = output;
-                mv_ldst = l_dst;
-                mv_rkey = stable_key r_dst;
-              }
+              { mv_input = input; mv_output = output; mv_ldst = l_dst; mv_rdst = r_dst }
               :: !acc;
             emit input output l_dst r_dst);
-        Hashtbl.replace inc.cache (s, skey)
+        Hashtbl.replace inc.cache (s, s')
           { e_version = v; e_moves = Array.of_list (List.rev !acc) }
       end
     in
@@ -507,14 +497,13 @@ module Inc = struct
     let new_ids = Hashtbl.create (2 * count) in
     let dirty_new = ref [] in
     for id = count - 1 downto 0 do
-      let l, r = p.pairs.(id) in
-      let skey = stable_key r in
-      Hashtbl.replace new_ids (l, skey) id;
-      (match Hashtbl.find_opt inc.prev_ids (l, skey) with
+      let pair = p.pairs.(id) in
+      Hashtbl.replace new_ids pair id;
+      (match Hashtbl.find_opt inc.prev_ids pair with
       | Some o -> old_of.(id) <- o
       | None -> ());
       let row_changed =
-        match Hashtbl.find_opt inc.last_dirty skey with
+        match Hashtbl.find_opt inc.last_dirty (snd pair) with
         | Some dv -> dv = v
         | None -> false
       in

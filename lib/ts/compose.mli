@@ -82,7 +82,7 @@ module Inc : sig
   type stats = {
     old_of : int array;
         (** per new-product state, the previous product's state with the same
-            (left, stable right key) pair, or [-1] if none — the correlation
+            (left, right) pair, or [-1] if none — the correlation
             that lets {!Mechaml_mc.Sat} warm-start fixpoints *)
     dirty : int list;
         (** new-product states that are new or whose right projection was
@@ -95,23 +95,15 @@ module Inc : sig
   val create : Automaton.t -> t
   (** [create left] — subsequent {!parallel} calls compose this operand. *)
 
-  val parallel :
-    t ->
-    right:Automaton.t ->
-    dirty:Automaton.state list ->
-    stable_key:(Automaton.state -> int) ->
-    resolve:(int -> Automaton.state) ->
-    product * stats
+  val parallel : t -> right:Automaton.t -> dirty:Automaton.state list -> product * stats
   (** Compose against the next right operand.  [dirty] lists the right
       states (of {e this} operand) whose adjacency rows differ from the
       previous call's operand — for chaos closures,
-      {!Mechaml_core.Chaos.dirty_states}.  [stable_key] must injectively
-      name right states so that a state keeps its key across operands even
-      when indices shift (core closure copies are index-stable; [s_∀]/[s_δ]
-      map to negative keys), and [resolve] inverts it for the current
-      operand.  Correctness requires exactly the contract the chaos closure
-      provides: equal keys ⇒ same adjacency row (up to key-stable
-      destinations and unchanged interaction labels) unless listed dirty. *)
+      {!Mechaml_core.Chaos.dirty_states}.  Correctness requires exactly the
+      contract the chaos closure provides: every right state keeps its index
+      across operands (new states only append), and a state not listed
+      dirty has the same adjacency row (labels, destinations, order) as in
+      the previous operand. *)
 
   val left_operand : t -> Automaton.t
 end

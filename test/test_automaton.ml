@@ -115,6 +115,47 @@ let unit_tests =
         in
         check_bool "mentions idle" true (contains s "idle");
         check_bool "mentions busy" true (contains s "busy"));
+    test "successors keep list order when labels interleave" (fun () ->
+        (* a/- is interned before -/-, so the segment's ids read 0 1 0 until
+           the sorted view is derived *)
+        let m =
+          automaton ~inputs:[ "a" ] ~outputs:[]
+            ~trans:[ ("s", [ "a" ], [], "t"); ("s", [], [], "s"); ("s", [ "a" ], [], "u") ]
+            ~initial:[ "s" ] ()
+        in
+        let a = Universe.set_of_names m.Automaton.inputs [ "a" ] in
+        let empty = Mechaml_util.Bitset.empty in
+        let idx = Automaton.state_index m in
+        Alcotest.(check (list int)) "both a-successors, in list order"
+          [ idx "t"; idx "u" ] (Automaton.successors m (idx "s") a empty);
+        Alcotest.(check (list int)) "silent move" [ idx "s" ]
+          (Automaton.successors m (idx "s") empty empty);
+        check_bool "same (s,A,B) twice" false (Automaton.deterministic m));
+    test "patch interns a new label without touching the old automaton" (fun () ->
+        let old = simple () in
+        let go = Universe.set_of_names old.Automaton.inputs [ "go" ] in
+        let stop = Universe.set_of_names old.Automaton.inputs [ "stop" ] in
+        let empty = Mechaml_util.Bitset.empty in
+        (* idle keeps its row; busy gains stop/- -> busy, a label old lacks *)
+        ignore (Automaton.successors old 1 stop empty);
+        let m =
+          Automaton.patch ~old ~name:"patched" ~props:old.Automaton.props
+            ~state_names:old.Automaton.state_names ~labels:old.Automaton.labels
+            ~trans:
+              [|
+                Automaton.transitions_from old 0;
+                Automaton.transitions_from old 1
+                @ [ { Automaton.input = Mechaml_util.Bitset.union go stop; output = empty; dst = 1 } ];
+              |]
+            ~initial:old.Automaton.initial ~dirty:[| false; true |] ()
+        in
+        let both = Mechaml_util.Bitset.union go stop in
+        Alcotest.(check (list int)) "new label answered" [ 1 ] (Automaton.successors m 1 both empty);
+        Alcotest.(check (list int)) "old label kept" [ 0 ] (Automaton.successors m 1 stop empty);
+        check_int "patched transitions" 3 (Automaton.num_transitions m);
+        check_bool "old automaton does not learn the label" true
+          (Automaton.interaction_id old both empty = None);
+        check_int "old transitions" 2 (Automaton.num_transitions old));
   ]
 
 let () = Alcotest.run "automaton" [ ("unit", unit_tests) ]

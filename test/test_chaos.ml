@@ -149,4 +149,55 @@ let unit_tests =
              ~concrete:real ~abstract:closure ()));
   ]
 
-let () = Alcotest.run "chaos" [ ("unit", unit_tests) ]
+(* Three learning steps on a two-signal model: a known edge to a new state,
+   a refusal and a known edge back, so the updates grow the closure and
+   shrink escapes. *)
+let updated_closure ~debug =
+  let m0 = Incomplete.create ~name:"m" ~inputs:[ "a"; "b" ] ~outputs:[ "x" ] ~initial_state:"s0" in
+  let inc = Chaos.inc_closure m0 in
+  let m1 = Incomplete.add_transition m0 ~src:"s0" (i ~inputs:[ "a" ] ~outputs:[]) ~dst:"s1" in
+  Chaos.update ~debug inc m1;
+  let m2 = Incomplete.add_refusal m1 ~state:"s1" ~inputs:[ "b" ] in
+  Chaos.update ~debug inc m2;
+  let m3 = Incomplete.add_transition m2 ~src:"s1" (i ~inputs:[] ~outputs:[ "x" ]) ~dst:"s0" in
+  Chaos.update ~debug inc m3;
+  (inc, m3)
+
+(* Every query the index answers, over every label of every row. *)
+let index_signature (c : Automaton.t) =
+  List.concat
+    (List.init (Automaton.num_states c) (fun s ->
+         List.map
+           (fun (t : Automaton.trans) ->
+             ( Automaton.accepts c s t.input t.output,
+               Automaton.successors c s t.input t.output ))
+           (Automaton.transitions_from c s)))
+
+let incremental_tests =
+  [
+    test "s_all and s_delta stay states 0 and 1 while updates append" (fun () ->
+        let inc, m = updated_closure ~debug:true in
+        let c = Chaos.auto inc in
+        check_string "s_all" Chaos.s_all (Automaton.state_name c 0);
+        check_string "s_delta" Chaos.s_delta (Automaton.state_name c 1);
+        check_string "open copy of s0" "s0" (Automaton.state_name c 2);
+        check_string "closed copy of s1" ("s1" ^ Chaos.closed_suffix) (Automaton.state_name c 5);
+        check_bool "same numbering as a fresh closure" true
+          (c.Automaton.state_names = (Chaos.closure m).Automaton.state_names);
+        Alcotest.(check (list int)) "last update dirtied only s1's copies" [ 4; 5 ]
+          (Chaos.dirty_states inc));
+    test "a patched closure round-trips through Marshal" (fun () ->
+        (* the memo cache marshals closures: the index must hold no closure,
+           whether or not its sorted view has been derived yet *)
+        let inc, m = updated_closure ~debug:false in
+        let c = Chaos.auto inc in
+        let round_trip () : Automaton.t = Marshal.from_string (Marshal.to_string c []) 0 in
+        let expected = index_signature (Chaos.closure m) in
+        let cold = round_trip () in
+        check_bool "copy taken before any query" true (index_signature cold = expected);
+        check_bool "original" true (index_signature c = expected);
+        let warm = round_trip () in
+        check_bool "copy taken after queries" true (index_signature warm = expected));
+  ]
+
+let () = Alcotest.run "chaos" [ ("unit", unit_tests @ incremental_tests) ]

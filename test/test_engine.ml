@@ -295,7 +295,7 @@ let cache_tests =
             | Ok _ -> Alcotest.fail "foreign file loaded");
             (* correct header, garbage payload *)
             let oc = open_out_bin path in
-            output_string oc "mechaml-cache 1\ngarbage payload";
+            output_string oc "mechaml-cache 2\ngarbage payload";
             close_out oc;
             match Cache.load c ~path with
             | Error _ -> check_int "cache unharmed" 0 (Cache.stats c).Cache.entries

@@ -134,7 +134,9 @@ let chaos_update_chain_prop seed =
          m := Incomplete.add_transition !m ~src (Incomplete.interaction ~inputs ~outputs) ~dst
        else m := Incomplete.add_refusal !m ~state:src ~inputs
      with Invalid_argument _ -> (* contradicts recorded knowledge: skip *) ());
-    Chaos.update inc !m;
+    (* [~debug] also compares the spliced index against a fresh build *)
+    (try Chaos.update ~debug:true inc !m
+     with Failure msg -> QCheck.Test.fail_reportf "%s (seed %d)" msg seed);
     if not (same_auto (Chaos.auto inc) (Chaos.closure ~label_of ~extra_props !m)) then
       QCheck.Test.fail_reportf "patched closure diverged from fresh closure (seed %d)" seed
   done;
